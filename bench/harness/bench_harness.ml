@@ -94,7 +94,7 @@ let fig3 () =
       let { Benchmarks.Suite.config; profile; sinks; _ } = case name in
       let buffered = Gcr.Buffered.route config profile sinks in
       let gated = Gcr.Router.route config profile sinks in
-      let reduced = Gcr.Gate_reduction.reduce_greedy gated in
+      let reduced = Gcr.Gate_reduction.reduce_optimal gated in
       let w t = Gcr.Cost.w_total t /. 1000.0 in
       add_row sc
         [
@@ -139,7 +139,7 @@ let fig4 () =
       let { Benchmarks.Suite.config; profile; sinks; _ } = c in
       let buffered = Gcr.Buffered.route config profile sinks in
       let reduced =
-        Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+        Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
       in
       let wg = Gcr.Cost.w_total reduced and wb = Gcr.Cost.w_total buffered in
       add_row table
@@ -199,9 +199,8 @@ let fig5 () =
         Printf.sprintf "%.0f" ((Gcr.Area.of_tree tree).Gcr.Area.total /. 1000.0);
       ]
   in
-  named "greedy" (Gcr.Gate_reduction.reduce_greedy gated);
+  named "optimal" (Gcr.Gate_reduction.reduce_optimal gated);
   named "rules" (Gcr.Gate_reduction.reduce_rules gated);
-  named "optimal(DP)" (Gcr.Gate_reduction.reduce_optimal gated);
   print table;
   pf "\nMeasured optimum at %d%% reduction.\n" (snd !best);
   pf "Paper: controller tree falls and clock tree rises as gates go; the\n";
@@ -230,7 +229,7 @@ let fig6 () =
           let controller = Gcr.Controller.distributed die ~k in
           let config = Gcr.Config.make ~controller ~die () in
           let tree =
-            Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+            Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
           in
           let g = float_of_int (Gcr.Gated_tree.gate_count tree) in
           let analytic =
@@ -271,7 +270,7 @@ let ablate_cost () =
     (fun name ->
       let { Benchmarks.Suite.config; profile; sinks; _ } = case name in
       let sc_tree =
-        Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+        Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
       in
       (* same gating machinery on a purely geometric topology *)
       let nn_topo =
@@ -280,13 +279,13 @@ let ablate_cost () =
           sinks
       in
       let nn_tree =
-        Gcr.Gate_reduction.reduce_greedy
+        Gcr.Gate_reduction.reduce_optimal
           (Gcr.Gated_tree.build config profile sinks nn_topo ~kind:(fun _ ->
                Gcr.Gated_tree.Gated))
       in
       (* ... and on an activity-only topology *)
       let act_tree =
-        Gcr.Gate_reduction.reduce_greedy
+        Gcr.Gate_reduction.reduce_optimal
           (Gcr.Activity_router.route config profile sinks)
       in
       let w t = Gcr.Cost.w_total t /. 1000.0 in
@@ -321,13 +320,13 @@ let ablate_ctrl_terms () =
     (fun name ->
       let { Benchmarks.Suite.config; profile; sinks; _ } = case name in
       let with_tree =
-        Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+        Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
       in
       (* route blind to the controller, then cost fairly with it *)
       let blind_config = { config with Gcr.Config.control_weight = 0.0 } in
       let topo = Gcr.Router.route_topology_only blind_config profile sinks in
       let without_tree =
-        Gcr.Gate_reduction.reduce_greedy
+        Gcr.Gate_reduction.reduce_optimal
           (Gcr.Gated_tree.build config profile sinks topo ~kind:(fun _ ->
                Gcr.Gated_tree.Gated))
       in
@@ -378,7 +377,7 @@ let ablate_forced_insertion () =
 let ablate_sizing () =
   section "Ablation 4: gate sizing policies (the paper's 'gates can be sized')";
   let { Benchmarks.Suite.config; profile; sinks; _ } = case "r1" in
-  let tree = Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks) in
+  let tree = Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks) in
   let open Util.Text_table in
   let table =
     create
@@ -421,9 +420,9 @@ let ablate_skew_budget () =
       let skew_budget = ps *. 1000.0 in
       let tree =
         if skew_budget > 0.0 then
-          Gcr.Gate_reduction.reduce_greedy
+          Gcr.Gate_reduction.reduce_optimal
             (Gcr.Router.route ~skew_budget config profile sinks)
-        else Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+        else Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
       in
       let r = Gcr.Report.of_tree tree in
       add_row table
@@ -456,7 +455,7 @@ let ablate_refinement () =
       in
       let tree = Gcr.Router.route config profile sinks in
       let refined, stats = Gcr.Refine.nni ~max_passes:2 tree in
-      let red t = Gcr.Cost.w_total (Gcr.Gate_reduction.reduce_greedy t) /. 1000.0 in
+      let red t = Gcr.Cost.w_total (Gcr.Gate_reduction.reduce_optimal t) /. 1000.0 in
       add_row table
         [
           string_of_int n;
@@ -552,7 +551,7 @@ let validation () =
   section "Cross-validation: analytic cost vs cycle-accurate simulation (r1)";
   let { Benchmarks.Suite.config; profile; sinks; _ } = case "r1" in
   let reduced =
-    Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+    Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
   in
   let c = Gsim.Check.compare reduced in
   Format.printf "%a@." Gsim.Check.pp c;
@@ -682,7 +681,7 @@ let scaling () =
       let t0 = Util.Obs.Clock.now () in
       let tree = Gcr.Router.route config profile sinks in
       let t1 = Util.Obs.Clock.now () in
-      ignore (Gcr.Gate_reduction.reduce_greedy tree);
+      ignore (Gcr.Gate_reduction.reduce_optimal tree);
       let t2 = Util.Obs.Clock.now () in
       add_row table
         [
@@ -973,7 +972,7 @@ let gate_share_bench () =
     (fun i name ->
       let { Benchmarks.Suite.config; profile; sinks; _ } = case name in
       let reduced =
-        Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+        Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
       in
       let n = Array.length sinks in
       let t0 = Util.Obs.Clock.now () in

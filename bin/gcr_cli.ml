@@ -84,8 +84,8 @@ let handle_unknown_bench f =
 (* ------------------------------------------------------------------ *)
 
 let reduction_arg =
-  let doc = "Gate reduction: greedy, rules, none, or a fraction in [0,1]." in
-  Arg.(value & opt string "greedy" & info [ "r"; "reduce" ] ~docv:"MODE" ~doc)
+  let doc = "Gate reduction: optimal, rules, none, or a fraction in [0,1]." in
+  Arg.(value & opt string "optimal" & info [ "r"; "reduce" ] ~docv:"MODE" ~doc)
 
 let skew_arg =
   let doc = "Skew budget in ohm x fF (0 = exact zero skew)." in
@@ -199,7 +199,8 @@ let paranoid_arg =
   Arg.(value & flag & info [ "paranoid" ] ~doc)
 
 let reduction_of_string = function
-  | "greedy" -> Some Gcr.Flow.Greedy
+  (* "greedy" names the same pass in older scripts *)
+  | "optimal" | "greedy" -> Some Gcr.Flow.Optimal
   | "rules" -> Some Gcr.Flow.Rules
   | "none" -> Some Gcr.Flow.No_reduction
   | s -> (
@@ -218,7 +219,7 @@ let reduce_tree mode tree =
     Gcr.Flow.apply_reduction
       { Gcr.Flow.default with Gcr.Flow.reduction = r }
       tree
-  | None -> usage_error "--reduce expects greedy | rules | none | fraction"
+  | None -> usage_error "--reduce expects optimal | rules | none | fraction"
 
 let eco_of_flag = function
   | None -> Gcr.Flow.No_eco
@@ -244,7 +245,7 @@ let run_comparison config profile sinks ~reduction ~skew_budget ~size ~shards
         (match reduction_of_string reduction with
         | Some r -> r
         | None ->
-          usage_error "--reduce expects greedy | rules | none | fraction");
+          usage_error "--reduce expects optimal | rules | none | fraction");
       sizing = (if size then Gcr.Flow.Proportional else Gcr.Flow.No_sizing);
       shards =
         (match shards with
@@ -603,7 +604,7 @@ let sweep_activity_cmd bench n_sinks stream steps =
     let { Benchmarks.Suite.config; profile; sinks; _ } = case in
     let buffered = Gcr.Buffered.route config profile sinks in
     let reduced =
-      Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+      Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
     in
     let wg = Gcr.Cost.w_total reduced and wb = Gcr.Cost.w_total buffered in
     add_row table
@@ -639,7 +640,7 @@ let controllers_cmd bench n_sinks stream usage =
       let case = load_case bench n_sinks stream usage k in
       let { Benchmarks.Suite.config; profile; sinks; spec; _ } = case in
       let tree =
-        Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+        Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
       in
       let g = float_of_int (Gcr.Gated_tree.gate_count tree) in
       let analytic =

@@ -71,7 +71,7 @@ let () =
 
   (* 3. Reduce gates, then apply tapered sizing (uniform per tree level,
      so sibling drive strengths stay matched and zero skew is cheap). *)
-  let reduced = Gcr.Gate_reduction.reduce_greedy exact in
+  let reduced = Gcr.Gate_reduction.reduce_optimal exact in
   let sized = Gcr.Sizing.tapered ~min_scale:1.0 reduced in
   Util.Text_table.print
     (Gcr.Report.comparison_table

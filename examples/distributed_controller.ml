@@ -33,7 +33,7 @@ let () =
       let config = Gcr.Config.make ~controller ~die () in
       (* re-route for each controller layout: Eq (3) sees the star cost *)
       let tree =
-        Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+        Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
       in
       let g = float_of_int (Gcr.Gated_tree.gate_count tree) in
       let measured = Gcr.Cost.control_wirelength_total tree in

@@ -49,7 +49,7 @@ let () =
   in
   let config = Gcr.Config.make ~die:(Geometry.Bbox.square ~side:1200.0) () in
   let gated = Gcr.Router.route config profile sinks in
-  let reduced = Gcr.Gate_reduction.reduce_greedy gated in
+  let reduced = Gcr.Gate_reduction.reduce_optimal gated in
   let buffered = Gcr.Buffered.route config profile sinks in
   Format.printf "=== Routing the six modules ===@.";
   Util.Text_table.print

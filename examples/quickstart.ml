@@ -49,7 +49,7 @@ let () =
      gates that do not pay for their control wiring. *)
   let config = Gcr.Config.make ~die () in
   let gated = Gcr.Router.route config profile sinks in
-  let reduced = Gcr.Gate_reduction.reduce_greedy gated in
+  let reduced = Gcr.Gate_reduction.reduce_optimal gated in
   let buffered = Gcr.Buffered.route config profile sinks in
 
   (* 4. Compare: the paper's Figure 3 in miniature. *)

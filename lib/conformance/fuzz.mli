@@ -13,8 +13,8 @@ val check : Scenario.t -> unit
     - {!Oracles.signature_vs_tables} — signature kernel vs. table scans;
     - staged determinism — [run] equals
       [apply_sizing ∘ apply_reduction ∘ Router.route] bit-for-bit;
-    - greedy reduction monotonicity — {!Gcr.Gate_reduction.reduce_greedy}
-      never increases [W];
+    - optimal reduction monotonicity — {!Gcr.Gate_reduction.reduce_optimal}
+      never increases [W] (beyond re-embedding noise, 1 %);
     - {!Oracles.engine_vs_dense} and {!Oracles.domains_determinism}.
 
     Raises [Failure] (or the pipeline's own exception) on violation. *)

@@ -70,7 +70,7 @@ let generate prng ~tag =
   let reduction =
     match Util.Prng.int prng 4 with
     | 0 -> Gcr.Flow.No_reduction
-    | 1 -> Gcr.Flow.Greedy
+    | 1 -> Gcr.Flow.Optimal
     | 2 -> Gcr.Flow.Rules
     | _ -> Gcr.Flow.Fraction (float_of_int (Util.Prng.int prng 101) /. 100.0)
   in
@@ -170,7 +170,7 @@ let render t =
   add "skew-budget %.17g" t.options.Gcr.Flow.skew_budget;
   (match t.options.Gcr.Flow.reduction with
   | Gcr.Flow.No_reduction -> add "reduction none"
-  | Gcr.Flow.Greedy -> add "reduction greedy"
+  | Gcr.Flow.Optimal -> add "reduction optimal"
   | Gcr.Flow.Rules -> add "reduction rules"
   | Gcr.Flow.Fraction f -> add "reduction fraction %.17g" f);
   (match t.options.Gcr.Flow.sizing with
@@ -300,13 +300,14 @@ let parse ?(source = "<scenario>") contents =
     let line, fields = req "reduction" in
     match fields with
     | [ "none" ] -> Gcr.Flow.No_reduction
-    | [ "greedy" ] -> Gcr.Flow.Greedy
+    (* "greedy" names the same pass in older reproducer files *)
+    | [ "optimal" ] | [ "greedy" ] -> Gcr.Flow.Optimal
     | [ "rules" ] -> Gcr.Flow.Rules
     | [ "fraction"; f ] ->
       Gcr.Flow.Fraction (Formats.Parse.float_field ~source ~line ~what:"fraction" f)
     | _ ->
       Formats.Parse.fail ~source ~line
-        "reduction expects none | greedy | rules | fraction <f>"
+        "reduction expects none | optimal | rules | fraction <f>"
   in
   let sizing =
     let line, fields = req "sizing" in

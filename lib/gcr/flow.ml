@@ -1,4 +1,4 @@
-type reduction = No_reduction | Greedy | Rules | Fraction of float
+type reduction = No_reduction | Optimal | Rules | Fraction of float
 
 type sizing = No_sizing | Tapered | Uniform of float | Proportional
 
@@ -20,7 +20,7 @@ type options = {
 let default =
   {
     skew_budget = 0.0;
-    reduction = Greedy;
+    reduction = Optimal;
     sizing = No_sizing;
     shards = Flat;
     gate_share = No_share;
@@ -30,7 +30,7 @@ let default =
 let apply_reduction options tree =
   match options.reduction with
   | No_reduction -> tree
-  | Greedy -> Gate_reduction.reduce_greedy tree
+  | Optimal -> Gate_reduction.reduce_optimal tree
   | Rules -> Gate_reduction.reduce_rules tree
   | Fraction fraction -> Gate_reduction.reduce_fraction tree ~fraction
 
@@ -399,7 +399,7 @@ let label options =
   let r =
     match options.reduction with
     | No_reduction -> ""
-    | Greedy -> "+greedy"
+    | Optimal -> "+optimal"
     | Rules -> "+rules"
     | Fraction f -> Printf.sprintf "+%.0f%%" (100.0 *. f)
   in

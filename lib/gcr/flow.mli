@@ -4,7 +4,11 @@
     single options record, so applications (and the CLI, benches and
     examples) do not each re-assemble the same glue. *)
 
-type reduction = No_reduction | Greedy | Rules | Fraction of float
+type reduction =
+  | No_reduction  (** keep every gate of the routed tree *)
+  | Optimal  (** {!Gate_reduction.reduce_optimal} (the default) *)
+  | Rules  (** the paper's rules, {!Gate_reduction.reduce_rules} *)
+  | Fraction of float  (** {!Gate_reduction.reduce_fraction} *)
 
 type sizing = No_sizing | Tapered | Uniform of float | Proportional
 
@@ -40,7 +44,7 @@ type options = {
 }
 
 val default : options
-(** Zero skew, greedy reduction, no sizing — the configuration behind the
+(** Zero skew, optimal gate reduction, no sizing — the configuration behind the
     headline reproduction numbers. *)
 
 val route_with_options :
@@ -64,7 +68,7 @@ val apply_sizing : options -> Gated_tree.t -> Gated_tree.t
 (** The sizing stage of {!run} alone. *)
 
 val label : options -> string
-(** Human-readable tag of the pipeline variant, e.g. ["gated+greedy+tapered"]. *)
+(** Human-readable tag of the pipeline variant, e.g. ["gated+optimal+tapered"]. *)
 
 val run :
   ?options:options ->

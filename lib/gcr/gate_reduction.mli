@@ -20,11 +20,12 @@
     delays matched, so the re-embedding does not need pathological snaking
     wire to restore zero skew.
 
-    Besides the rule-based pass this module provides an exact greedy
-    variant built on {!removal_gain} (remove gates while removal lowers the
-    total switched capacitance) and a fraction-targeted variant used to
-    sweep the paper's Figure 5 x-axis. All variants re-run the DME
-    embedding for the final gate assignment, so zero skew is preserved. *)
+    Besides the paper's rule-based pass this module provides one optimiser:
+    an exact dynamic program over which of the input's gates to keep,
+    optionally under an exact gate budget (the knob behind the paper's
+    Figure 5 sweep). Every pass only removes gates the input has, and
+    re-runs the DME embedding for the final assignment, so zero skew is
+    preserved. *)
 
 type thresholds = {
   activity_high : float;  (** rule 1: remove when [P(EN) >= activity_high] *)
@@ -42,40 +43,25 @@ val default_thresholds : thresholds
 (** [activity_high = 0.95], [min_switched_cap = 2 x 20 fF],
     [parent_delta = 0.02], [force_cap_multiple = 10]. *)
 
-val removal_gain : Gated_tree.t -> int -> float
-(** [removal_gain t v] is the change in total switched capacitance [W] if
-    the gate on the edge above [v] were removed (negative = removal saves
-    power): the edges it governs fall back to the enclosing gate's higher
-    probability, while its control star wire and its input capacitance
-    disappear. Computed on the current embedding (wire lengths are not
-    re-balanced for the estimate). Raises [Invalid_argument] when the edge
-    is not gated. *)
-
 val reduce_rules : ?thresholds:thresholds -> Gated_tree.t -> Gated_tree.t
 (** The paper's pass: apply the three removal rules on the fully gated
     tree, then the forced-insertion sweep, then re-embed. *)
 
-val reduce_greedy : Gated_tree.t -> Gated_tree.t
-(** Remove gates one at a time, always the one with the most negative
-    {!removal_gain}, until no removal lowers [W]; then re-embed. *)
+val reduce_optimal : ?gates:int -> Gated_tree.t -> Gated_tree.t
+(** Exact optimal choice of which gates to keep, on the {e fixed}
+    topology and on the input's wire lengths (the final assignment is
+    re-embedded exactly). Each edge's clock probability is the enable of
+    its lowest gated ancestor, so a subtree's cost depends only on that
+    ancestor, one of O(depth) contexts: the DP takes O(N * depth) time.
+    Only the input's gated edges are decided (kept, or demoted to a
+    buffer); every other edge keeps its kind.
 
-val reduce_count : Gated_tree.t -> remove:int -> Gated_tree.t
-(** Remove exactly [remove] gates (or all of them if fewer exist) in
-    ascending-gain order, regardless of sign; then re-embed. The knob
-    behind the paper's "gate reduction %" sweeps. *)
+    With [~gates:k] exactly [k] gates are kept, at minimum estimated [W]
+    for that count; the per-context rows become vectors over the gate
+    count, merged min-plus at each node. Raises [Invalid_argument] unless
+    [0 <= k <= gate_count]. *)
 
 val reduce_fraction : Gated_tree.t -> fraction:float -> Gated_tree.t
-(** [reduce_fraction t ~fraction] removes [fraction] (in [0..1]) of the
-    tree's gates via {!reduce_count}. Raises [Invalid_argument] outside
-    [0..1]. *)
-
-val reduce_optimal : Gated_tree.t -> Gated_tree.t
-(** Exact optimal gate placement on the {e fixed} topology and embedding,
-    by dynamic programming: each edge's clock probability is the enable of
-    its lowest gated ancestor, so the only context a subtree's cost depends
-    on is that ancestor's probability — one of the O(depth) ancestor enable
-    values. Memoizing on (node, context) gives the global optimum of the
-    same estimate the greedy pass optimizes (wire lengths frozen at the
-    all-gated embedding; the final assignment is re-embedded exactly, like
-    every other reducer). Yardstick for how much the paper's heuristics
-    leave on the table. *)
+(** [reduce_fraction t ~fraction] removes [round (fraction * G)] of the
+    tree's [G] gates: {!reduce_optimal} with [~gates:(G - round (fraction
+    * G))]. Raises [Invalid_argument] unless [fraction] is in [0..1]. *)

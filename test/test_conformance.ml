@@ -59,7 +59,7 @@ let test_flow_matrix () =
           Gcr.Flow.No_sizing; Gcr.Flow.Tapered; Gcr.Flow.Uniform 1.5;
           Gcr.Flow.Proportional;
         ])
-    [ Gcr.Flow.No_reduction; Gcr.Flow.Greedy; Gcr.Flow.Rules;
+    [ Gcr.Flow.No_reduction; Gcr.Flow.Optimal; Gcr.Flow.Rules;
       Gcr.Flow.Fraction 0.5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -82,6 +82,23 @@ let test_scenario_roundtrip () =
       sc2.S.control_weight;
     Alcotest.(check string) "tag" sc.S.tag sc2.S.tag
   done
+
+let test_scenario_reduction_spelling () =
+  let sc = scenario_at 3 "spelling" in
+  let options = { sc.S.options with Gcr.Flow.reduction = Gcr.Flow.Optimal } in
+  let text = S.render { sc with S.options } in
+  Alcotest.(check bool) "rendered as optimal" true
+    (contains ~affix:"reduction optimal" text);
+  let parsed t = (S.parse t).S.options.Gcr.Flow.reduction in
+  Alcotest.(check bool) "optimal parses back" true (parsed text = Gcr.Flow.Optimal);
+  (* older reproducer files spell the same pass "greedy" *)
+  let old =
+    String.concat "\n"
+      (List.map
+         (fun l -> if l = "reduction optimal" then "reduction greedy" else l)
+         (String.split_on_char '\n' text))
+  in
+  Alcotest.(check bool) "greedy parses to optimal" true (parsed old = Gcr.Flow.Optimal)
 
 let test_scenario_parse_errors () =
   let sc = scenario_at 5 "errors" in
@@ -231,6 +248,7 @@ let () =
         [
           Alcotest.test_case "seed-file roundtrip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_scenario_parse_errors;
+          Alcotest.test_case "reduction spelling" `Quick test_scenario_reduction_spelling;
         ] );
       ( "invariants and oracles",
         [

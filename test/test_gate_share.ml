@@ -29,7 +29,7 @@ let setup ?(n = 24) ?(usage = 0.4) ?(stream_length = 400) ?(seed = 5) () =
 
 let routed ?(seed = 5) () =
   let config, profile, sinks = setup ~seed () in
-  Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+  Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
 
 (* Sinks under each node, bottom-up. *)
 let leaf_counts (tree : Gcr.Gated_tree.t) =

@@ -330,16 +330,20 @@ let test_reduction_fraction_counts () =
 let test_reduction_fraction_validation () =
   let config, profile, sinks = setup ~n:4 () in
   let tree = Gcr.Router.route config profile sinks in
-  Alcotest.check_raises "fraction > 1"
-    (Invalid_argument "Gate_reduction.reduce_fraction: fraction outside [0,1]")
-    (fun () -> ignore (Gcr.Gate_reduction.reduce_fraction tree ~fraction:1.5))
+  List.iter
+    (fun (name, fraction) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Gate_reduction.reduce_fraction: fraction outside [0,1]")
+        (fun () -> ignore (Gcr.Gate_reduction.reduce_fraction tree ~fraction)))
+    [ ("fraction > 1", 1.5); ("nan", Float.nan); ("infinity", Float.infinity);
+      ("-infinity", Float.neg_infinity) ]
 
-let test_reduction_greedy_improves () =
+let test_reduction_optimal_improves () =
   let config, profile, sinks = setup ~n:24 ~usage:0.3 () in
   let tree = Gcr.Router.route config profile sinks in
-  let reduced = Gcr.Gate_reduction.reduce_greedy tree in
+  let reduced = Gcr.Gate_reduction.reduce_optimal tree in
   Gcr.Gated_tree.check_invariants reduced;
-  Alcotest.(check bool) "greedy does not worsen W" true
+  Alcotest.(check bool) "optimal does not worsen W" true
     (Gcr.Cost.w_total reduced <= Gcr.Cost.w_total tree *. 1.01);
   Alcotest.(check bool) "some gates removed" true
     (Gcr.Gated_tree.gate_count reduced < Gcr.Gated_tree.gate_count tree)
@@ -351,7 +355,7 @@ let test_reduction_beats_buffered_at_low_activity () =
   let config, profile, sinks = setup ~n:32 ~usage:0.25 ~stream_length:800 () in
   let buffered = Gcr.Buffered.route config profile sinks in
   let gated = Gcr.Router.route config profile sinks in
-  let reduced = Gcr.Gate_reduction.reduce_greedy gated in
+  let reduced = Gcr.Gate_reduction.reduce_optimal gated in
   Alcotest.(check bool)
     (Printf.sprintf "reduced %.0f < buffered %.0f" (Gcr.Cost.w_total reduced)
        (Gcr.Cost.w_total buffered))
@@ -364,12 +368,7 @@ let test_reduction_optimal_beats_heuristics () =
   let optimal = Gcr.Gate_reduction.reduce_optimal tree in
   Gcr.Gated_tree.check_invariants optimal;
   let w_opt = Gcr.Cost.w_total optimal in
-  let w_greedy = Gcr.Cost.w_total (Gcr.Gate_reduction.reduce_greedy tree) in
   let w_rules = Gcr.Cost.w_total (Gcr.Gate_reduction.reduce_rules tree) in
-  Alcotest.(check bool)
-    (Printf.sprintf "optimal %.0f <= greedy %.0f" w_opt w_greedy)
-    true
-    (w_opt <= w_greedy *. 1.002);
   Alcotest.(check bool)
     (Printf.sprintf "optimal %.0f <= rules %.0f" w_opt w_rules)
     true
@@ -424,9 +423,18 @@ let frozen_cost (tree : Gcr.Gated_tree.t) kinds =
       end);
   !total
 
+let close a b = Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs b)
+
+let dp_cost ?gates tree =
+  let reduced = Gcr.Gate_reduction.reduce_optimal ?gates tree in
+  frozen_cost tree (Gcr.Gated_tree.kinds_copy reduced)
+
 let prop_optimal_matches_exhaustive_on_tiny_trees =
   QCheck.Test.make
-    ~name:"DP gate placement = exhaustive minimum (frozen objective)" ~count:15
+    ~name:
+      "DP gate placement = exhaustive minimum (frozen objective), unbudgeted and \
+       per gate count"
+    ~count:15
     (QCheck.int_range 2 6)
     (fun n ->
       let config, profile, sinks = setup ~n ~seed:(n * 41) ~stream_length:200 () in
@@ -434,8 +442,10 @@ let prop_optimal_matches_exhaustive_on_tiny_trees =
       let topo = tree.Gcr.Gated_tree.topo in
       let root = Clocktree.Topo.root topo in
       let n_edges = Clocktree.Topo.n_nodes topo - 1 in
-      (* exhaustive minimum over all 2^edges gate/buffer assignments *)
+      (* exhaustive minimum over all 2^edges gate/buffer assignments, in
+         total and per number of gates kept *)
       let best = ref infinity in
+      let best_k = Array.make (n_edges + 1) infinity in
       for mask = 0 to (1 lsl n_edges) - 1 do
         let kinds =
           Array.init (Clocktree.Topo.n_nodes topo) (fun v ->
@@ -444,21 +454,59 @@ let prop_optimal_matches_exhaustive_on_tiny_trees =
               else Gcr.Gated_tree.Buffered)
         in
         let w = frozen_cost tree kinds in
-        if w < !best then best := w
+        let k =
+          Array.fold_left
+            (fun k kind -> if kind = Gcr.Gated_tree.Gated then k + 1 else k)
+            0 kinds
+        in
+        if w < !best then best := w;
+        if w < best_k.(k) then best_k.(k) <- w
       done;
-      let dp =
-        frozen_cost tree
-          (Gcr.Gated_tree.kinds_copy (Gcr.Gate_reduction.reduce_optimal tree))
+      close (dp_cost tree) !best
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun k w ->
+                let reduced = Gcr.Gate_reduction.reduce_optimal ~gates:k tree in
+                Gcr.Gated_tree.gate_count reduced = k
+                && close (frozen_cost tree (Gcr.Gated_tree.kinds_copy reduced)) w)
+              best_k))
+
+let prop_optimal_is_min_over_budgets =
+  QCheck.Test.make ~name:"unbudgeted DP = minimum over gate budgets" ~count:10
+    (QCheck.int_range 2 40)
+    (fun n ->
+      let config, profile, sinks = setup ~n ~seed:(n * 13) ~stream_length:200 () in
+      let tree = Gcr.Router.route config profile sinks in
+      let best = ref infinity in
+      for gates = 0 to Gcr.Gated_tree.gate_count tree do
+        best := Float.min !best (dp_cost ~gates tree)
+      done;
+      close (dp_cost tree) !best)
+
+let test_reduction_keeps_input_kinds () =
+  let { Benchmarks.Suite.config; profile; sinks; _ } =
+    Benchmarks.Suite.case ~stream_length:2_000 (Benchmarks.Rbench.by_name "r1")
+  in
+  List.iter
+    (fun (name, tree) ->
+      let check what reduced =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s keeps the input's kinds" name what)
+          true
+          (Gcr.Gated_tree.kinds_copy reduced = Gcr.Gated_tree.kinds_copy tree)
       in
-      Float.abs (dp -. !best) <= 1e-9 *. (1.0 +. !best))
+      check "reduce_optimal" (Gcr.Gate_reduction.reduce_optimal tree);
+      check "reduce_fraction 0.5" (Gcr.Gate_reduction.reduce_fraction tree ~fraction:0.5))
+    [ ("buffered", Gcr.Buffered.route config profile sinks);
+      ("ungated", Gcr.Buffered.route_ungated config profile sinks) ]
 
 let test_reduction_optimal_validates_in_sim () =
   let config, profile, sinks = setup ~n:14 ~stream_length:200 () in
   let tree = Gcr.Router.route config profile sinks in
   Gsim.Check.validate (Gcr.Gate_reduction.reduce_optimal tree)
 
-let test_removal_gain_always_on_gate () =
-  (* A gate whose enable is always high can only cost: removal must gain. *)
+let test_reduction_optimal_demotes_always_on_gate () =
+  (* A gate whose enable is always high can only cost: the DP demotes it. *)
   let sinks = [| mk_sink 0 450.0 500.0 10.0 0; mk_sink 1 550.0 500.0 10.0 1 |] in
   let rtl = Activity.Rtl.of_lists ~n_modules:2 [ [ 0 ]; [ 0; 1 ] ] in
   let stream = Activity.Instr_stream.make rtl [| 0; 1; 0; 1; 0; 0; 1 |] in
@@ -470,13 +518,9 @@ let test_removal_gain_always_on_gate () =
   in
   (* module 0 active every cycle: sink 0's gate is always on *)
   check_float "P = 1" 1.0 tree.Gcr.Gated_tree.enables.(0).Gcr.Enable.p;
-  Alcotest.(check bool) "removal gains" true (Gcr.Gate_reduction.removal_gain tree 0 < 0.0)
-
-let test_removal_gain_requires_gate () =
-  let tree = two_sink_tree Gcr.Gated_tree.Plain in
-  Alcotest.check_raises "ungated edge"
-    (Invalid_argument "Gate_reduction.removal_gain: edge is not gated") (fun () ->
-      ignore (Gcr.Gate_reduction.removal_gain tree 0))
+  let reduced = Gcr.Gate_reduction.reduce_optimal tree in
+  Alcotest.(check bool) "always-on gate demoted" true
+    (reduced.Gcr.Gated_tree.kind.(0) = Gcr.Gated_tree.Buffered)
 
 let test_reduction_rules_runs () =
   let config, profile, sinks = setup ~n:24 () in
@@ -609,7 +653,7 @@ let test_sizing_tapered_beats_proportional_on_wire () =
   (* the documented caveat: naive per-gate sizing mixes sibling drive
      strengths and pays for it in balancing wire *)
   let config, profile, sinks = setup ~n:24 () in
-  let tree = Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks) in
+  let tree = Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks) in
   let naive = Gcr.Sizing.proportional tree in
   let tapered = Gcr.Sizing.tapered tree in
   Alcotest.(check bool) "tapered uses less wire" true
@@ -637,7 +681,7 @@ let test_skew_budget_route () =
     true
     (r.Gcr.Report.skew <= budget +. 1e-6);
   (* gate reduction preserves the budget *)
-  let reduced = Gcr.Gate_reduction.reduce_greedy tree in
+  let reduced = Gcr.Gate_reduction.reduce_optimal tree in
   let r' = Gcr.Report.of_tree reduced in
   Alcotest.(check bool) "budget survives reduction" true
     (r'.Gcr.Report.skew <= budget +. 1e-6)
@@ -821,7 +865,7 @@ let test_flow_default_matches_manual () =
   let config, profile, sinks = setup ~n:16 () in
   let via_flow = Gcr.Flow.run config profile sinks in
   let manual =
-    Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+    Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
   in
   check_float "same W" (Gcr.Cost.w_total manual) (Gcr.Cost.w_total via_flow);
   Alcotest.(check int) "same gates" (Gcr.Gated_tree.gate_count manual)
@@ -852,7 +896,7 @@ let test_flow_options () =
 let test_flow_standard_comparison () =
   let config, profile, sinks = setup ~n:10 () in
   let trio = Gcr.Flow.standard_comparison config profile sinks in
-  Alcotest.(check (list string)) "labels" [ "buffered"; "gated"; "gated+greedy" ]
+  Alcotest.(check (list string)) "labels" [ "buffered"; "gated"; "gated+optimal" ]
     (List.map fst trio);
   List.iter (fun (_, t) -> Gcr.Gated_tree.check_invariants t) trio
 
@@ -941,9 +985,9 @@ let test_flow_sharded_run () =
   let options = { Gcr.Flow.default with Gcr.Flow.shards = Gcr.Flow.Shards 4 } in
   let tree = Gcr.Flow.run ~options config profile sinks in
   Gcr.Gated_tree.check_invariants tree;
-  Alcotest.(check string) "label carries shard count" "gated+greedy+sharded:4"
+  Alcotest.(check string) "label carries shard count" "gated+optimal+sharded:4"
     (Gcr.Flow.label options);
-  Alcotest.(check string) "auto label" "gated+greedy+sharded"
+  Alcotest.(check string) "auto label" "gated+optimal+sharded"
     (Gcr.Flow.label { options with Gcr.Flow.shards = Gcr.Flow.Auto_shards })
 
 let test_flow_rejects_bad_shards () =
@@ -1237,7 +1281,7 @@ let () =
         [
           Alcotest.test_case "fraction counts" `Quick test_reduction_fraction_counts;
           Alcotest.test_case "fraction validation" `Quick test_reduction_fraction_validation;
-          Alcotest.test_case "greedy improves" `Quick test_reduction_greedy_improves;
+          Alcotest.test_case "optimal improves" `Quick test_reduction_optimal_improves;
           Alcotest.test_case "beats buffered at low activity" `Quick
             test_reduction_beats_buffered_at_low_activity;
           Alcotest.test_case "optimal beats heuristics" `Quick
@@ -1245,8 +1289,10 @@ let () =
           qt prop_optimal_matches_exhaustive_on_tiny_trees;
           Alcotest.test_case "optimal validates in sim" `Quick
             test_reduction_optimal_validates_in_sim;
-          Alcotest.test_case "gain of always-on gate" `Quick test_removal_gain_always_on_gate;
-          Alcotest.test_case "gain requires gate" `Quick test_removal_gain_requires_gate;
+          qt prop_optimal_is_min_over_budgets;
+          Alcotest.test_case "keeps input kinds" `Quick test_reduction_keeps_input_kinds;
+          Alcotest.test_case "DP demotes a gate whose P(EN)=1" `Quick
+            test_reduction_optimal_demotes_always_on_gate;
           Alcotest.test_case "rules run" `Quick test_reduction_rules_runs;
           Alcotest.test_case "rule 1" `Quick test_reduction_rules_rule1_removes_always_on;
           Alcotest.test_case "forced insertion" `Quick test_forced_insertion_keeps_gates;

@@ -84,7 +84,7 @@ let test_gated_tree_validates () =
 let test_reduced_tree_validates () =
   let config, profile, sinks = setup () in
   let tree = Gcr.Router.route config profile sinks in
-  Gsim.Check.validate (Gcr.Gate_reduction.reduce_greedy tree);
+  Gsim.Check.validate (Gcr.Gate_reduction.reduce_optimal tree);
   Gsim.Check.validate (Gcr.Gate_reduction.reduce_fraction tree ~fraction:0.7);
   Gsim.Check.validate (Gcr.Gate_reduction.reduce_rules tree)
 
@@ -114,7 +114,7 @@ let test_gating_saves_versus_buffered_measured () =
   let config, profile, sinks = setup ~n:24 ~usage:0.25 ~stream_length:400 () in
   let stream = Activity.Profile.stream profile in
   let buffered = Gsim.Gate_sim.run (Gcr.Buffered.route config profile sinks) stream in
-  let gated_tree = Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks) in
+  let gated_tree = Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks) in
   let gated = Gsim.Gate_sim.run gated_tree stream in
   Alcotest.(check bool)
     (Printf.sprintf "gated %.0f < buffered %.0f" gated.Gsim.Gate_sim.total_switched
@@ -204,7 +204,7 @@ let test_trace_gated_varies_buffered_constant () =
   let config, profile, sinks = setup ~n:16 ~usage:0.2 ~stream_length:300 () in
   let stream = Activity.Profile.stream profile in
   let gated =
-    Gcr.Gate_reduction.reduce_greedy (Gcr.Router.route config profile sinks)
+    Gcr.Gate_reduction.reduce_optimal (Gcr.Router.route config profile sinks)
   in
   let buffered = Gcr.Buffered.route config profile sinks in
   let tg = Gsim.Trace.power_trace gated stream ~window:25 in
