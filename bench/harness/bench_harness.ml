@@ -693,7 +693,7 @@ let scaling () =
   print table
 
 (* ------------------------------------------------------------------ *)
-(* Greedy-merge scaling: NN-heap (+ spatial grid) vs all-pairs heap   *)
+(* Greedy-merge scaling: NN-heap (+ spatial grid, bounds) vs all-pairs *)
 (* ------------------------------------------------------------------ *)
 
 (* The pre-optimization activity-only merge, replicated inline as the
@@ -847,12 +847,58 @@ let greedy_scaling () =
     act_sizes;
   Buffer.add_string js "\n  ]";
   record "activity" (Buffer.contents js);
+  Buffer.clear js;
   print act;
+  print_newline ();
+  (* Eq. (3): the paper's router on its bounded search. The counters
+     need tracing on; their deltas cover exactly this topology run. *)
+  let eq3_sizes = if quick () then [ 100; 250 ] else [ 250; 500; 1000; 2000; 3000 ] in
+  let eq3 =
+    create ~title:"Eq. (3) merge (Router, additive + pair bound)"
+      [ ("sinks", Right); ("costed", Right); ("pruned", Right); ("ms", Right);
+        ("Mw", Right) ]
+  in
+  let costed = Util.Obs.counter "greedy.costed" in
+  let pruned = Util.Obs.counter "greedy.pruned" in
+  Buffer.add_string js "[\n";
+  first := true;
+  List.iter
+    (fun n ->
+      let spec = Benchmarks.Rbench.scaled (Benchmarks.Rbench.by_name "r1") ~n_sinks:n in
+      let { Benchmarks.Suite.config; profile; sinks; _ } =
+        Benchmarks.Suite.case ~stream_length:1_000 spec
+      in
+      ignore (Activity.Profile.signature_kernel profile);
+      let was_on = Util.Obs.enabled () in
+      Util.Obs.set_enabled true;
+      let c0 = Util.Obs.value costed and p0 = Util.Obs.value pruned in
+      let w0 = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+      let (_ : Clocktree.Topo.t), t =
+        time (fun () -> Gcr.Router.route_topology_only config profile sinks)
+      in
+      let words = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. w0 in
+      let c = Util.Obs.value costed - c0 and p = Util.Obs.value pruned - p0 in
+      Util.Obs.set_enabled was_on;
+      let pruned_pct = 100.0 *. float_of_int p /. float_of_int (max 1 (c + p)) in
+      add_row eq3
+        [ string_of_int n; string_of_int c; Printf.sprintf "%.1f%%" pruned_pct;
+          Printf.sprintf "%.1f" (1000.0 *. t); Printf.sprintf "%.2f" (words /. 1e6) ];
+      if not !first then Buffer.add_string js ",\n";
+      Buffer.add_string js
+        (Printf.sprintf
+           "    {\"n\": %d, \"costed\": %d, \"pruned_pct\": %.2f, \"ms\": %.3f, \
+            \"mwords\": %.3f}"
+           n c pruned_pct (1000.0 *. t) (words /. 1e6));
+      first := false)
+    eq3_sizes;
+  Buffer.add_string js "\n  ]";
+  record "eq3" (Buffer.contents js);
+  print eq3;
   print_newline ();
   pf "The all-pairs heap seeds n(n-1)/2 entries (~4.8M at 3101 sinks); the\n";
   pf "NN-heap keeps one entry per active root and asks the grid (geometric)\n";
-  pf "or a bound-pruned signature scan (activity) for each root's best\n";
-  pf "partner.\n"
+  pf "or a bound-pruned scan (activity, Eq. (3)) for each root's best\n";
+  pf "partner. pruned = share of the other active roots a query left uncosted.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Sharded region-parallel routing: scaling to 10^5 sinks              *)

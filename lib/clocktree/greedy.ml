@@ -42,13 +42,19 @@ type view = {
    and whole routes run concurrently on sibling systhreads of one
    domain (the serve daemon's in-process ground-truth checks), so any
    buffer that outlives a single query is clobbered mid-use when a
-   thread switch lands inside [cost_many]. Two chunk-sized minor
-   allocations per query are noise next to the batched kernel call. *)
+   thread switch lands inside [cost_many]. A few chunk-sized minor
+   allocations per query are noise next to the costs they feed. *)
 let chunk = 64
 
-type scratch = { ids : int array; costs : float array }
+type scratch = { ids : int array; costs : float array; bounds : float array; one : int array }
 
-let fresh_scratch () = { ids = Array.make chunk 0; costs = Array.make chunk 0.0 }
+let fresh_scratch () =
+  {
+    ids = Array.make chunk 0;
+    costs = Array.make chunk 0.0;
+    bounds = Array.make chunk 0.0;
+    one = [| 0 |];
+  }
 
 type candidates = {
   best : int -> (int * float) option;
@@ -88,70 +94,101 @@ let scan view =
   in
   { best; merged = (fun ~a:_ ~b:_ ~k:_ -> ()) }
 
-(* Best-first scan under an admissible per-root bound: [lower v] must
-   satisfy cost(u, v) >= max(lower u, lower v) for every active pair.
-   Active roots are kept in an array sorted ascending by bound; a query
-   walks it in that order and stops as soon as the next bound cannot beat
-   the best cost found — any best-so-far cost is >= lower(query), so the
-   one stopping test [lower u >= best] covers both halves of the max.
-   Exact: every skipped candidate provably costs at least the returned
-   one (ties may resolve differently than an exhaustive scan, exactly as
-   heap order already does). The sorted array is maintained by shifted
-   insertion — O(n) per merge, trivial against the cost evaluations the
-   bound avoids. *)
-let bound_scan ~lower view =
+(* Counted per query, not per candidate: [costed] is how many partners a
+   bounded query evaluated exactly, [pruned] how many other active roots
+   it left uncosted (past the stopping point, screened by [pair], or
+   under [Sum] owned by the other side). *)
+let costed = Util.Obs.counter "greedy.costed"
+
+let pruned = Util.Obs.counter "greedy.pruned"
+
+type bound = Max | Sum
+
+(* Best-first scan under an admissible per-root bound [lower]: under
+   [Max], cost(u, v) >= max(lower u, lower v); under [Sum],
+   cost(u, v) >= lower u +. lower v (the float sum). Active roots are
+   kept in an array sorted ascending by bound; a query for v walks it in
+   that order and stops as soon as the next bound cannot beat the best
+   cost found. Under [Max] any best-so-far cost is >= lower v, so the
+   one test [lower u >= best] covers both halves of the max; under
+   [Sum] the test is [lower v +. lower u >= best], nondecreasing along
+   the walk because float addition is monotone. With a [pair] bound,
+   each chunk of walked candidates is costed best-first by that bound,
+   one at a time, until the smallest bound left reaches the best cost.
+   Under [Sum] a query owns only partners with smaller ids, as [scan]
+   does, so each pair is considered from one side; [Max] queries keep
+   every partner, which fixes how the activity router resolves its
+   frequent exact ties (owning by id would halve its costings too, but
+   move those ties and so its trees). Exact: every skipped candidate
+   provably costs at least the returned one (ties may resolve
+   differently than an exhaustive scan, exactly as heap order already
+   does). The sorted array is maintained by shifted insertion — O(n)
+   per merge, trivial against the cost evaluations the bound avoids. *)
+let bound_scan ?pair combine ~lower view =
   let size = (2 * view.n) - 1 in
   let key = Array.make size infinity in
   let order = Array.make size (-1) in
-  let rank = Array.make size (-1) in
   let count = ref 0 in
-  let insert v =
-    let kv = lower v in
-    key.(v) <- kv;
-    (* binary search for the insertion point, then shift right *)
+  (* first position in [order] whose key is >= kv, or > kv past_ties *)
+  let search ~past_ties kv =
     let lo = ref 0 and hi = ref !count in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if key.(order.(mid)) <= kv then lo := mid + 1 else hi := mid
+      let km = key.(order.(mid)) in
+      if km < kv || (past_ties && km = kv) then lo := mid + 1 else hi := mid
     done;
-    let at = !lo in
-    Array.blit order at order (at + 1) (!count - at);
+    !lo
+  in
+  let insert v =
+    let kv = lower v in
+    key.(v) <- kv;
+    let at = search ~past_ties:true kv in
+    (* Explicit int-array loops, not Array.blit: blit cannot see that the
+       elements are immediates and pays a write barrier per element once
+       [order] lives in the major heap. *)
+    for i = !count - 1 downto at do
+      order.(i + 1) <- order.(i)
+    done;
     order.(at) <- v;
-    incr count;
-    for i = at to !count - 1 do
-      rank.(order.(i)) <- i
-    done
+    incr count
   in
   let remove v =
-    let at = rank.(v) in
-    Array.blit order (at + 1) order at (!count - at - 1);
-    decr count;
-    for i = at to !count - 1 do
-      rank.(order.(i)) <- i
+    (* v sits among the entries keyed key.(v) *)
+    let at = ref (search ~past_ties:false key.(v)) in
+    while order.(!at) <> v do
+      incr at
     done;
-    rank.(v) <- -1
+    for i = !at to !count - 2 do
+      order.(i) <- order.(i + 1)
+    done;
+    decr count
   in
   view.iter_active insert;
   (* Chunked walk: gather up to [chunk] candidates whose bound can still
-     beat the best flushed so far, then cost them in one [cost_many]
-     call. The running best only tightens at flush boundaries, so the
-     stopping test fires no earlier than the per-candidate walk's and a
-     superset of its candidates gets costed — but every extra candidate
-     was skippable (cost >= its bound >= the final minimum) and sits
-     after the walk's winner in order, so under the same strict-< update
-     the returned (partner, cost) is identical, ties included. *)
+     beat the best cost so far, then cost them. Without [pair] the chunk
+     is one [cost_many] call; the running best only tightens at flush
+     boundaries, so the stopping test fires no earlier than the
+     per-candidate walk's and a superset of its candidates gets costed —
+     but every extra candidate was skippable (cost >= its bound >= the
+     final minimum) and sits after the walk's winner in order, so under
+     the same strict-< update the returned (partner, cost) is identical,
+     ties included. With [pair], a candidate is dismissed only once its
+     pair bound reaches the best cost found, so it cannot beat the
+     returned minimum; among exact ties the first one costed wins. *)
   let best v =
     let s = fresh_scratch () in
+    let kv = key.(v) in
     let best_id = ref (-1) and best_cost = ref infinity in
-    let i = ref 0 in
+    let i = ref 0 and n_costed = ref 0 in
     let stop = ref false in
     while (not !stop) && !i < !count do
       let fill = ref 0 in
       while (not !stop) && !fill < chunk && !i < !count do
         let u = order.(!i) in
-        if key.(u) >= !best_cost then stop := true
+        let reach = match combine with Max -> key.(u) | Sum -> kv +. key.(u) in
+        if reach >= !best_cost then stop := true
         else begin
-          if u <> v then begin
+          if (match combine with Max -> u <> v | Sum -> u < v) then begin
             s.ids.(!fill) <- u;
             incr fill
           end;
@@ -159,15 +196,48 @@ let bound_scan ~lower view =
         end
       done;
       if !fill > 0 then begin
-        view.cost_many v s.ids !fill s.costs;
-        for j = 0 to !fill - 1 do
-          if s.costs.(j) < !best_cost then begin
-            best_cost := s.costs.(j);
-            best_id := s.ids.(j)
-          end
-        done
+        match pair with
+        | None ->
+          view.cost_many v s.ids !fill s.costs;
+          n_costed := !n_costed + !fill;
+          for j = 0 to !fill - 1 do
+            if s.costs.(j) < !best_cost then begin
+              best_cost := s.costs.(j);
+              best_id := s.ids.(j)
+            end
+          done
+        | Some pair ->
+          (* Best-first within the chunk: cost candidates in ascending
+             pair bound, one at a time, until the smallest bound left
+             reaches the best cost — the first costings tighten the
+             screen for the rest. *)
+          pair v s.ids !fill s.bounds;
+          let continue = ref true in
+          while !continue do
+            let j = ref (-1) and lo = ref !best_cost in
+            for k = 0 to !fill - 1 do
+              if s.bounds.(k) < !lo then begin
+                lo := s.bounds.(k);
+                j := k
+              end
+            done;
+            if !j < 0 then continue := false
+            else begin
+              s.bounds.(!j) <- infinity;
+              s.one.(0) <- s.ids.(!j);
+              view.cost_many v s.one 1 s.costs;
+              incr n_costed;
+              if s.costs.(0) < !best_cost then begin
+                best_cost := s.costs.(0);
+                best_id := s.one.(0)
+              end
+            end
+          done
       end
     done;
+    Util.Obs.add costed !n_costed;
+    (* v is active, so the other roots number count - 1 *)
+    Util.Obs.add pruned (!count - 1 - !n_costed);
     if !best_id < 0 then None else Some (!best_id, !best_cost)
   in
   {

@@ -11,7 +11,10 @@
     been consumed. Candidate generation is pluggable: the default
     {!scan} source recomputes a root's best partner by scanning the
     active set (O(n) per query, O(n^2) total cost evaluations but O(n)
-    heap memory); a spatial source (see {!Spatial} and {!Nn}) answers the
+    heap memory); {!bound_scan} walks the active set in ascending order
+    of an admissible per-root lower bound and stops early, costing only
+    the candidates the bound cannot dismiss (the activity and Eq. (3)
+    routers); a spatial source (see {!Spatial} and {!Nn}) answers the
     query from a grid index, bringing geometric topology construction to
     ~O(n log n). The original all-pairs seeding survives as
     {!merge_all_dense}, the reference oracle the accelerated paths are
@@ -54,21 +57,46 @@ val scan : source
     [view.cost_many] in fixed-size chunks (identical results — every
     candidate is costed either way, in the same order). *)
 
-val bound_scan : lower:(int -> float) -> source
+type bound =
+  | Max  (** [cost u v >= Float.max (lower u) (lower v)] *)
+  | Sum  (** [cost u v >= lower u +. lower v], the float sum *)
+(** How a per-root bound combines over a pair, for {!bound_scan}. *)
+
+val bound_scan :
+  ?pair:(int -> int array -> int -> float array -> unit) ->
+  bound ->
+  lower:(int -> float) ->
+  source
 (** Best-first scan under an admissible per-root lower bound: [lower v]
-    must satisfy [cost u v >= max (lower u) (lower v)] for every active
-    pair, and must be stable while [v] is active (it is read once, when
-    [v] activates). The source keeps the active set sorted ascending by
-    bound and walks a query in that order, stopping at the first
-    candidate whose bound cannot beat the best cost found — exact
-    results, most candidates never costed. The activity merge uses
-    [lower v = P(EN_v)]: probabilities only grow under union, so a
-    candidate whose own probability exceeds the best cost so far can be
-    dismissed without evaluating the union. Candidates are costed
-    through [view.cost_many] in fixed-size chunks; the chunked walk may
-    cost a few candidates past the scalar stopping point, but returns
-    the identical (partner, cost), ties included (see the proof sketch
-    in the implementation). *)
+    must satisfy the [bound] inequality against [cost] {e as computed in
+    floats} for every active pair, and must be stable while [v] is
+    active (it is read once, when [v] activates). The source keeps the
+    active set sorted ascending by bound and walks a query in that
+    order, stopping at the first candidate whose combined bound cannot
+    beat the best cost found — exact results, most candidates never
+    costed. The activity merge uses [Max] with [lower v = P(EN_v)]:
+    probabilities only grow under union, so a candidate whose own
+    probability exceeds the best cost so far can be dismissed without
+    evaluating the union. The Eq. (3) router uses [Sum] with a
+    per-root connection cost, plus a [pair] bound. Under [Sum] a query
+    owns only partners with smaller ids, as {!scan} does (the larger id
+    of every unordered pair owns it); [Max] queries consider every
+    partner.
+
+    [pair v us cnt out], when given, fills [out.(i)] with a lower bound
+    on [cost v us.(i)] (again in floats) for [i < cnt]; it should be
+    O(1) per candidate and allocation-free. Each chunk of walked
+    candidates is then costed one at a time in ascending pair bound
+    (so [cost_many] sees single candidates) until the smallest bound
+    left reaches the best cost found; the rest are dismissed uncosted.
+
+    Without [pair], candidates are costed through [view.cost_many] in
+    fixed-size chunks; the chunked walk may cost a few candidates past
+    the scalar stopping point, but returns the identical (partner,
+    cost), ties included (see the proof sketch in the implementation).
+    Every query adds to the
+    [greedy.costed] and [greedy.pruned] {!Util.Obs} counters: partners
+    costed exactly, and the other active roots left uncosted. *)
 
 val merge_all_with :
   ?par_seed:bool ->

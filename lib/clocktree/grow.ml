@@ -51,6 +51,8 @@ let cap t v = t.arena.Arena.cap.(v)
 
 let dist t a b = Arena.dist t.arena a b
 
+let arena t = t.arena
+
 let branch t v =
   { Zskew.delay = t.arena.Arena.delay.(v); cap = t.arena.Arena.cap.(v); gate = t.edge_gate }
 

@@ -43,6 +43,11 @@ val cap : t -> int -> float
 val dist : t -> int -> int -> float
 (** Manhattan distance between two roots' merging regions. *)
 
+val arena : t -> Arena.t
+(** The flat node columns behind the forest, for allocation-free hot
+    loops that read regions, delays and capacitances directly. Read
+    only: writing them corrupts the forest. *)
+
 val peek_split : t -> int -> int -> Zskew.split
 (** Zero-skew split for a tentative merge of two roots; no state change.
     Raises [Invalid_argument] if either id is not an active root. *)

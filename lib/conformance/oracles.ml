@@ -143,56 +143,22 @@ let signature_vs_tables (tree : Gcr.Gated_tree.t) =
             tu_tab (set_str u)
     done
 
-(* Replay one engine's merge sequence (ascending internal-node ids are
-   the commit order) and require every chosen pair to achieve the exact
-   brute-force minimum of the activity-merge cost over the roots active
-   at that step. The replayed Grow state and signature unions evolve
-   through the same operations as the engine's, so the recomputed costs
-   are bit-identical and the comparison needs no tolerance — and unlike a
-   topology diff, any min-achieving choice passes, so the ubiquitous
-   exact cost ties (saturated P(EN) with overlapping regions at distance
-   zero) cannot produce false alarms. *)
-let greedy_optimal ~what (config : Gcr.Config.t) profile sinks topo =
-  match Activity.Profile.signature_kernel profile with
-  | None -> ()
-  | Some kern ->
-    let tech = config.Gcr.Config.tech in
-    let n = Array.length sinks in
-    let grow =
-      Clocktree.Grow.create tech
-        ~edge_gate:(Some tech.Clocktree.Tech.and_gate)
-        sinks
-    in
-    let n_mods = Activity.Profile.n_modules profile in
-    let size = (2 * n) - 1 in
-    let sigs =
-      Array.init n (fun v ->
-          Activity.Signature.of_set kern
-            (Activity.Module_set.singleton n_mods
-               sinks.(v).Clocktree.Sink.module_id))
-    in
-    let sigs = Array.append sigs (Array.make (n - 1) sigs.(0)) in
-    let tie = 1e-6 /. (1.0 +. Geometry.Bbox.width config.Gcr.Config.die) in
-    let cost a b =
-      Activity.Signature.p_union kern sigs.(a) sigs.(b)
-      +. (tie *. Clocktree.Grow.dist grow a b)
-    in
-    let active = Array.make size false in
-    for v = 0 to n - 1 do
-      active.(v) <- true
-    done;
-    for v = n to size - 1 do
-      let a, b =
-        match Clocktree.Topo.children topo v with
-        | Some pair -> pair
-        | None ->
-          Util.Gcr_error.internal ~stage:"engine_vs_dense"
-            "%s: internal node %d has no children in the replayed topology"
-            what v
-      in
+(* Replay a merge sequence over [n] initial roots and require every
+   chosen pair to achieve the exact brute-force minimum of [cost] over
+   the roots active at that step. [merge a b] commits the pair the same
+   way the engine did and returns the next id, so the replayed costs
+   evolve through exactly the engine's operations and are bit-identical
+   to what it compared — no tolerance is needed, and unlike a topology
+   diff any min-achieving choice passes, so exact cost ties cannot
+   produce false alarms. *)
+let replay_greedy ~stage ~what ~n ~cost ~merge merges =
+  let active = Array.make ((2 * n) - 1) false in
+  Array.fill active 0 n true;
+  Array.iteri
+    (fun step (a, b) ->
+      let v = n + step in
       if not (active.(a) && active.(b)) then
-        fail "engine_vs_dense" "%s: merge %d joins non-roots (%d, %d)" what
-          (v - n) a b;
+        fail stage "%s: merge %d joins non-roots (%d, %d)" what step a b;
       let chosen = cost a b in
       let best = ref infinity in
       for i = 0 to v - 1 do
@@ -202,32 +168,74 @@ let greedy_optimal ~what (config : Gcr.Config.t) profile sinks topo =
           done
       done;
       if chosen > !best then
-        fail "engine_vs_dense"
+        fail stage
           "%s: merge %d chose (%d, %d) at cost %.17g but the cheapest \
            available pair costs %.17g"
-          what (v - n) a b chosen !best;
-      let k = Clocktree.Grow.merge grow a b in
-      if k <> v then
-        fail "engine_vs_dense" "%s: replay numbered merge %d as %d" what v k;
-      sigs.(k) <- Activity.Signature.union sigs.(a) sigs.(b);
+          what step a b chosen !best;
+      let k = merge a b in
+      if k <> v then fail stage "%s: replay numbered merge %d as %d" what v k;
       active.(a) <- false;
       active.(b) <- false;
-      active.(k) <- true
-    done
+      active.(k) <- true)
+    merges
 
-(* Each region of a sharded plan is routed by the same greedy engine over
-   its own sinks, so each region's merge list must be greedy-optimal over
-   that region in isolation — replayed through a fresh {!Gcr.Router.forest}
-   whose Eq. (3) cost evolves through exactly the operations the region
-   router performed. The replay scans pairs as (i, j) with i < j while
-   the engine's partner scan may have evaluated the same pair the other
-   way round, and [Cost.merge_sc] is orientation-sensitive in the last
-   ulp — so on exact cost ties (degenerate profiles, coincident sinks)
-   the brute-force minimum can undercut the chosen pair's recomputed
-   cost by ~1 ulp. A relative tolerance of 1e-12 absorbs that noise;
-   genuinely non-greedy choices miss by whole cost units. (The stitch
-   above the regions is not globally greedy-optimal by design; its
-   tolerance is measured in EXPERIMENTS.md, not asserted here.) *)
+type objective = Activity_merge | Switched_cap
+
+(* The activity merge cost is P(EN) of the union plus a distance
+   tie-breaker, replayed through signature unions (sampled profiles
+   only); the switched capacitance is the router's own Eq. (3), replayed
+   through a fresh Router.forest. *)
+let greedy_optimal ~what objective (config : Gcr.Config.t) profile sinks topo =
+  let n = Array.length sinks in
+  let merges =
+    Array.init (n - 1) (fun step ->
+        match Clocktree.Topo.children topo (n + step) with
+        | Some pair -> pair
+        | None ->
+          Util.Gcr_error.internal ~stage:"greedy_optimal"
+            "%s: internal node %d has no children in the replayed topology"
+            what (n + step))
+  in
+  match objective with
+  | Switched_cap ->
+    let forest = Gcr.Router.forest config profile sinks in
+    replay_greedy ~stage:"greedy_optimal" ~what ~n
+      ~cost:(Gcr.Router.cost forest) ~merge:(Gcr.Router.merge forest) merges
+  | Activity_merge -> (
+    match Activity.Profile.signature_kernel profile with
+    | None -> ()
+    | Some kern ->
+      let tech = config.Gcr.Config.tech in
+      let grow =
+        Clocktree.Grow.create tech
+          ~edge_gate:(Some tech.Clocktree.Tech.and_gate)
+          sinks
+      in
+      let sigs =
+        Array.map
+          (fun s -> Activity.Signature.of_set kern (Gcr.Enable.sink_set profile s))
+          sinks
+      in
+      let sigs = Array.append sigs (Array.make (n - 1) sigs.(0)) in
+      let tie = 1e-6 /. (1.0 +. Geometry.Bbox.width config.Gcr.Config.die) in
+      let cost a b =
+        Activity.Signature.p_union kern sigs.(a) sigs.(b)
+        +. (tie *. Clocktree.Grow.dist grow a b)
+      in
+      let merge a b =
+        let k = Clocktree.Grow.merge grow a b in
+        sigs.(k) <- Activity.Signature.union sigs.(a) sigs.(b);
+        k
+      in
+      replay_greedy ~stage:"engine_vs_dense" ~what ~n ~cost ~merge merges)
+
+(* Each region of a sharded plan is routed by the same bounded engine
+   over its own sinks, so each region's merge list must be
+   greedy-optimal over that region in isolation under the router's
+   Eq. (3) — exactly, since Router.cost is evaluated in one canonical
+   orientation by the engine and the replay alike. (The stitch above the
+   regions is not globally greedy-optimal by design; its tolerance is
+   measured in EXPERIMENTS.md, not asserted here.) *)
 let sharded_regions_optimal ?shards (config : Gcr.Config.t) profile sinks =
   let plan = Gcr.Shard_router.plan ?shards ~domains:1 config profile sinks in
   Array.iteri
@@ -235,38 +243,9 @@ let sharded_regions_optimal ?shards (config : Gcr.Config.t) profile sinks =
       let k = Array.length ls in
       if k > 1 then begin
         let forest = Gcr.Router.forest config profile ls in
-        let active = Array.make ((2 * k) - 1) false in
-        for v = 0 to k - 1 do
-          active.(v) <- true
-        done;
-        Array.iteri
-          (fun step (a, b) ->
-            if not (active.(a) && active.(b)) then
-              fail "sharded_regions_optimal"
-                "region %d: merge %d joins non-roots (%d, %d)" r step a b;
-            let chosen = Gcr.Router.cost forest a b in
-            let m = k + step in
-            let best = ref infinity in
-            for i = 0 to m - 1 do
-              if active.(i) then
-                for j = i + 1 to m - 1 do
-                  if active.(j) then
-                    best := Float.min !best (Gcr.Router.cost forest i j)
-                done
-            done;
-            if not (Util.Tol.within ~rel:1e-12 ~value:chosen ~bound:!best ())
-            then
-              fail "sharded_regions_optimal"
-                "region %d: merge %d chose (%d, %d) at cost %.17g but the \
-                 cheapest available pair costs %.17g"
-                r step a b chosen !best;
-            let v = Gcr.Router.merge forest a b in
-            if v <> m then
-              fail "sharded_regions_optimal"
-                "region %d: replay numbered merge %d as %d" r m v;
-            active.(a) <- false;
-            active.(b) <- false;
-            active.(v) <- true)
+        replay_greedy ~stage:"sharded_regions_optimal"
+          ~what:(Printf.sprintf "region %d" r)
+          ~n:k ~cost:(Gcr.Router.cost forest) ~merge:(Gcr.Router.merge forest)
           plan.Gcr.Shard_router.region_merges.(r)
       end)
     plan.Gcr.Shard_router.region_sinks
@@ -275,10 +254,12 @@ let engine_vs_dense (sc : Scenario.t) =
   let config = Scenario.config sc in
   let profile = Scenario.profile sc in
   let sinks = sc.Scenario.sinks in
-  greedy_optimal ~what:"NN-heap engine" config profile sinks
+  greedy_optimal ~what:"NN-heap engine" Activity_merge config profile sinks
     (Gcr.Activity_router.topology config profile sinks);
-  greedy_optimal ~what:"dense oracle" config profile sinks
-    (Gcr.Activity_router.topology_dense config profile sinks)
+  greedy_optimal ~what:"dense oracle" Activity_merge config profile sinks
+    (Gcr.Activity_router.topology_dense config profile sinks);
+  greedy_optimal ~what:"Eq. (3) bounded engine" Switched_cap config profile sinks
+    (Gcr.Router.route_topology_only config profile sinks)
 
 (* Streaming ingestion is additive over concatenation, so any chunking
    of the trace — including degenerate chunks — must land on the same

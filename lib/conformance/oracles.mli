@@ -32,8 +32,16 @@ val signature_vs_tables : Gcr.Gated_tree.t -> unit
     greedy fast path). Exact equality — the kernel documents bit-for-bit
     agreement. No-op on analytic profiles (no tables). *)
 
+type objective =
+  | Activity_merge
+      (** [P(EN)] of the union plus the distance tie-breaker — the
+          {!Gcr.Activity_router} cost; checked on sampled profiles only *)
+  | Switched_cap
+      (** the paper's Eq. (3), {!Gcr.Router.cost} *)
+
 val greedy_optimal :
   what:string ->
+  objective ->
   Gcr.Config.t ->
   Activity.Profile.t ->
   Clocktree.Sink.t array ->
@@ -42,10 +50,12 @@ val greedy_optimal :
 (** Per-step greedy optimality of one merge engine's output: the
     topology's merge sequence (ascending internal-node ids) is replayed
     and every chosen pair must achieve the exact brute-force minimum of
-    the activity-merge cost over the roots active at that step. Any
-    min-achieving choice passes, so the exact cost ties on which the
-    engines legally diverge cannot produce false alarms. No-op on
-    profiles without a signature kernel. *)
+    the objective over the roots active at that step. The replayed state
+    evolves through the engine's own operations, so the comparison is
+    exact; any min-achieving choice passes, so the exact cost ties on
+    which the engines legally diverge cannot produce false alarms.
+    [Activity_merge] is a no-op on profiles without a signature
+    kernel. *)
 
 val sharded_regions_optimal :
   ?shards:int ->
@@ -62,16 +72,17 @@ val sharded_regions_optimal :
     is not asserted). [shards] as in {!Gcr.Shard_router.plan}. *)
 
 val engine_vs_dense : Scenario.t -> unit
-(** Per-step greedy optimality of both merge engines —
+(** Per-step greedy optimality of every merge engine —
     {!Gcr.Activity_router.topology} (nearest-neighbor heap with
     {!Clocktree.Greedy.bound_scan} pruning) and
-    {!Gcr.Activity_router.topology_dense} (all-pairs scan): each
-    engine's merge sequence is replayed and every chosen pair must
-    achieve the exact brute-force minimum of the activity-merge cost
-    over the roots active at that step. Tie-immune (any min-achieving
-    choice passes), unlike a topology diff, on which the engines
-    legally diverge whenever saturated enables meet overlapping merge
-    regions. *)
+    {!Gcr.Activity_router.topology_dense} (all-pairs scan) under the
+    activity-merge cost, and {!Gcr.Router}'s bounded Eq. (3) engine
+    under the switched capacitance: each engine's merge sequence is
+    replayed and every chosen pair must achieve the exact brute-force
+    minimum over the roots active at that step. Tie-immune (any
+    min-achieving choice passes), unlike a topology diff, on which the
+    engines legally diverge whenever saturated enables meet overlapping
+    merge regions. *)
 
 val chunked_vs_whole : Scenario.t -> unit
 (** Streaming-ingestion determinism: feeds the scenario's trace through

@@ -76,7 +76,7 @@ let signature_topology ~dense (config : Config.t) profile kern sinks =
     if dense then Clocktree.Greedy.merge_all_dense ~n ~cost ~merge
     else
       Clocktree.Greedy.merge_all_with ~par_seed:true ~cost_many
-        (Clocktree.Greedy.bound_scan ~lower:(fun v -> p.(v)))
+        (Clocktree.Greedy.bound_scan Clocktree.Greedy.Max ~lower:(fun v -> p.(v)))
         ~n ~cost ~merge
   in
   Clocktree.Grow.topology grow

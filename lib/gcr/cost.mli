@@ -51,4 +51,6 @@ val merge_sc :
     (with the child's gate input capacitance as node load), plus each
     child's enable star wire (estimated from the controller to the middle
     of the child's merging sector) weighted by its transition
-    probability. *)
+    probability. {!Router} evaluates the same float expression inline
+    over its flat arena; this is the reference its tests compare
+    against bit for bit. *)

@@ -17,13 +17,15 @@ let of_set profile mods =
       ptr = Activity.Profile.ptr profile mods;
     }
 
-let of_sink profile sink =
+let sink_set profile sink =
   let n = Activity.Profile.n_modules profile in
   let m = sink.Clocktree.Sink.module_id in
   if m >= n then
     invalid_arg
       (Printf.sprintf "Enable.of_sink: sink module %d outside the %d-module profile" m n);
-  of_set profile (Activity.Module_set.singleton n m)
+  Activity.Module_set.singleton n m
+
+let of_sink profile sink = of_set profile (sink_set profile sink)
 
 let merge profile a b = of_set profile (Activity.Module_set.union a.mods b.mods)
 
@@ -44,13 +46,7 @@ let compute_all profile topo sinks =
     Clocktree.Topo.iter_bottom_up topo (fun v ->
         match Clocktree.Topo.children topo v with
         | None ->
-          let m = sinks.(v).Clocktree.Sink.module_id in
-          if m >= n_mods then
-            invalid_arg
-              (Printf.sprintf
-                 "Enable.of_sink: sink module %d outside the %d-module profile" m
-                 n_mods);
-          let mods = Activity.Module_set.singleton n_mods m in
+          let mods = sink_set profile sinks.(v) in
           sigs.(v) <- Activity.Signature.of_set kern mods;
           enables.(v) <- { enables.(v) with mods }
         | Some (a, b) ->

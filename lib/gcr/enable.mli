@@ -17,6 +17,10 @@ val of_set : Activity.Profile.t -> Activity.Module_set.t -> t
     bit-for-bit what a direct table scan gives). The {!Gate_share} pass
     builds each group's shared enable this way. *)
 
+val sink_set : Activity.Profile.t -> Clocktree.Sink.t -> Activity.Module_set.t
+(** The singleton module set of a leaf. Raises [Invalid_argument] if the
+    sink's module id is outside the profile's universe. *)
+
 val of_sink : Activity.Profile.t -> Clocktree.Sink.t -> t
 (** Enable of a leaf: the activity of the sink's module. Raises
     [Invalid_argument] if the sink's module id is outside the profile's

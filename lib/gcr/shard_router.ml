@@ -6,10 +6,10 @@ let region_steps_counter = Util.Obs.counter "shard.region_merge_steps"
 
 let stitch_ns_counter = Util.Obs.counter "shard.stitch_ns"
 
-(* Region sizing: small enough that a region's scan-source merge loop
-   (~k^2/2 cost evaluations) stays cheap, large enough that the stitch —
-   whose merges cannot cross region boundaries — decides only a thin top
-   layer of the tree. *)
+(* Region sizing: small enough that a region's merge loop (O(k) bound
+   checks per best-partner query) stays cheap, large enough that the
+   stitch — whose merges cannot cross region boundaries — decides only a
+   thin top layer of the tree. *)
 let target_region = 1024
 
 let min_split = 128
@@ -70,26 +70,6 @@ let replay forest idxs merges =
     gmap.((2 * k) - 2)
   end
 
-(* Greedy-merge the region roots with the same Eq. (3) cost the regions
-   used internally, through the same engine — ids are remapped so the
-   engine sees a dense 0..r-1 problem over the surviving roots. *)
-let stitch_roots forest roots =
-  let r = Array.length roots in
-  if r > 1 then begin
-    let ids = Array.make ((2 * r) - 1) (-1) in
-    Array.blit roots 0 ids 0 r;
-    let next = ref r in
-    let cost i j = Router.cost forest ids.(i) ids.(j) in
-    let merge i j =
-      let k = Router.merge forest ids.(i) ids.(j) in
-      ids.(!next) <- k;
-      let meta = !next in
-      incr next;
-      meta
-    in
-    ignore (Clocktree.Greedy.merge_all ~n:r ~cost ~merge)
-  end
-
 let plan ?shards ?domains (config : Config.t) profile sinks =
   Clocktree.Sink.validate_array sinks;
   let n = Array.length sinks in
@@ -127,7 +107,9 @@ let plan ?shards ?domains (config : Config.t) profile sinks =
         let roots =
           Array.map2 (fun idxs ms -> replay forest idxs ms) regions region_merges
         in
-        stitch_roots forest roots;
+        (* The region roots merge under the same Eq. (3) search the
+           regions used internally. *)
+        ignore (Router.merge_roots forest roots);
         let topo = Clocktree.Grow.topology (Router.grow forest) in
         Util.Obs.add stitch_ns_counter
           (Int64.to_int (Int64.sub (Util.Obs.Clock.now_ns ()) t0));

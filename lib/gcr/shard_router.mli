@@ -1,14 +1,15 @@
 (** Sharded region-parallel gated-clock routing.
 
-    The paper's Eq. (3) cost has no spatial lower bound to prune with, so
-    the flat NN-heap route still evaluates O(n^2)-ish candidate costs —
-    fine at r-benchmark sizes, hopeless at 10^5 sinks. This router trades
-    a bounded amount of cost optimality for near-linear scaling:
+    The flat route's bounded search costs only a few percent of its
+    candidates exactly, but still walks O(n) sorted bounds per
+    best-partner query — fine at r-benchmark sizes, hopeless at 10^5
+    sinks. This router trades a bounded amount of cost optimality for
+    near-linear scaling:
 
     + {b Partition} the die into regions by recursive bisection
       ({!Clocktree.Partition}), cluster-aware when the sinks carry
       floorplan group labels (module ids);
-    + {b Route} each region with the existing NN-heap greedy engine, in
+    + {b Route} each region with the flat route's bounded engine, in
       parallel on the {!Util.Parallel} Domains pool
       ({!Util.Parallel.map_dyn}, largest region first). Each region owns
       its own {!Router.forest} — arena, enables, scratch — so domains
@@ -16,7 +17,8 @@
     + {b Stitch}: replay every region's merge list into one global forest
       (a merge's split depends only on the two subtrees, so the replayed
       regions are exactly the trees the regions built), then greedy-merge
-      the surviving region roots with the same Eq. (3) cost — a top-level
+      the surviving region roots with the same Eq. (3) cost and bounded
+      search ({!Router.merge_roots}) — a top-level
       zero-skew merge meeting the same skew budget as a flat route, since
       skew is enforced by construction in {!Clocktree.Zskew}/{!Mseg}.
 

@@ -675,8 +675,34 @@ let prop_bound_scan_matches_dense =
       let _ = Clocktree.Greedy.merge_all_dense ~n ~cost ~merge in
       let log_b, cost, merge, lower = model () in
       let _ =
-        Clocktree.Greedy.merge_all_with (Clocktree.Greedy.bound_scan ~lower) ~n
+        Clocktree.Greedy.merge_all_with (Clocktree.Greedy.bound_scan Clocktree.Greedy.Max ~lower) ~n
           ~cost ~merge
+      in
+      List.rev !log_b = List.rev !log_d)
+
+(* The same model under the additive rule: cost a b = w a + w b, so [w]
+   is also an admissible [Sum] key, and a pair screen that is the cost
+   itself is the tightest admissible one. With or without the screen,
+   and with a loose screen, the merges must be the dense oracle's. *)
+let prop_bound_scan_sum_matches_dense =
+  QCheck.Test.make ~name:"bound_scan Sum (+ pair screen) = dense oracle"
+    ~count:80
+    QCheck.(pair (int_range 2 40) (int_range 0 2))
+    (fun (n, screen) ->
+      let model = weighted_model n ((n * 613) + 11) in
+      let log_d, cost, merge, _ = model () in
+      let _ = Clocktree.Greedy.merge_all_dense ~n ~cost ~merge in
+      let log_b, cost, merge, lower = model () in
+      let pair =
+        match screen with
+        | 0 -> None
+        | 1 -> Some (fun v us cnt out -> for i = 0 to cnt - 1 do out.(i) <- cost v us.(i) done)
+        | _ -> Some (fun v us cnt out -> for i = 0 to cnt - 1 do out.(i) <- lower v +. lower us.(i) -. 0.5 done)
+      in
+      let _ =
+        Clocktree.Greedy.merge_all_with
+          (Clocktree.Greedy.bound_scan ?pair Clocktree.Greedy.Sum ~lower)
+          ~n ~cost ~merge
       in
       List.rev !log_b = List.rev !log_d)
 
@@ -691,12 +717,12 @@ let prop_par_seed_deterministic =
       let log_s, cost, merge, lower = model () in
       let _ =
         Clocktree.Greedy.merge_all_with ~par_seed:false
-          (Clocktree.Greedy.bound_scan ~lower) ~n ~cost ~merge
+          (Clocktree.Greedy.bound_scan Clocktree.Greedy.Max ~lower) ~n ~cost ~merge
       in
       let log_p, cost, merge, lower = model () in
       let _ =
         Clocktree.Greedy.merge_all_with ~par_seed:true
-          (Clocktree.Greedy.bound_scan ~lower) ~n ~cost ~merge
+          (Clocktree.Greedy.bound_scan Clocktree.Greedy.Max ~lower) ~n ~cost ~merge
       in
       !log_p = !log_s)
 
@@ -1034,6 +1060,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_greedy_validation;
           qt prop_greedy_matches_reference;
           qt prop_bound_scan_matches_dense;
+          qt prop_bound_scan_sum_matches_dense;
           qt prop_par_seed_deterministic;
         ] );
       ( "elmore_mismatch",

@@ -295,6 +295,204 @@ let test_router_prefers_low_activity_pair () =
   Alcotest.(check bool) "quiet sinks merged first" true
     (Clocktree.Topo.children tree.Gcr.Gated_tree.topo 4 = Some (0, 1))
 
+(* Cost.w_total of Router.route on the paper suites, as routed by the
+   exhaustive scan engine the bounded search replaced: the bounded
+   search is exact, so the trees — and these floats — must not move. *)
+let test_router_pinned_w_total () =
+  List.iter
+    (fun (name, expected) ->
+      let c = Benchmarks.Suite.by_name name in
+      let tree =
+        Gcr.Router.route c.Benchmarks.Suite.config c.Benchmarks.Suite.profile
+          c.Benchmarks.Suite.sinks
+      in
+      Alcotest.(check string) name (Printf.sprintf "%h" expected)
+        (Printf.sprintf "%h" (Gcr.Cost.w_total tree)))
+    [
+      ("r1", 0x1.ef0cd4835ffd1p+15);
+      ("r2", 0x1.71f5fedc116e4p+17);
+      ("r3", 0x1.05ef293a2bbcep+18);
+    ]
+
+(* The bounds must do real work: on r3 the bounded search costs at most
+   a tenth of the pairs the exhaustive scan evaluates. Both counts are
+   deterministic. *)
+let test_router_costed_fraction () =
+  let c = Benchmarks.Suite.by_name "r3" in
+  let config = c.Benchmarks.Suite.config and profile = c.Benchmarks.Suite.profile in
+  let sinks = c.Benchmarks.Suite.sinks in
+  let f = Gcr.Router.forest config profile sinks in
+  let exhaustive = ref 0 in
+  ignore
+    (Clocktree.Greedy.merge_all ~n:(Array.length sinks)
+       ~cost:(fun a b ->
+         incr exhaustive;
+         Gcr.Router.cost f a b)
+       ~merge:(Gcr.Router.merge f));
+  let was_enabled = Util.Obs.enabled () in
+  Util.Obs.set_enabled true;
+  Util.Obs.reset ();
+  let g = Gcr.Router.forest config profile sinks in
+  Gcr.Router.run g;
+  let costed = Util.Obs.value (Util.Obs.counter "greedy.costed") in
+  let pruned = Util.Obs.value (Util.Obs.counter "greedy.pruned") in
+  Util.Obs.set_enabled was_enabled;
+  Alcotest.(check bool) "same tree as the exhaustive scan" true
+    (Clocktree.Topo.equal
+       (Clocktree.Grow.topology (Gcr.Router.grow f))
+       (Clocktree.Grow.topology (Gcr.Router.grow g)));
+  Alcotest.(check bool)
+    (Printf.sprintf "costed %d <= 10%% of %d exhaustive" costed !exhaustive)
+    true
+    (costed > 0 && 10 * costed <= !exhaustive);
+  Alcotest.(check bool) "pruned counted" true (pruned > costed)
+
+(* Scenarios for the bound properties. Kind 0: random sinks; 1: snaking
+   (tight clusters with lopsided sink loads, so zero-skew splits must
+   elongate a wire); 2: distributed controller, k = 4; 3 and 4:
+   control weight 0 and 3; 5: every instruction uses every module, so
+   every enable has the same P (cost ties everywhere); 6: an analytic
+   profile (module sets, no signatures). *)
+let bound_scenario ~kind ~n ~seed =
+  let side = 1000.0 in
+  let die = Geometry.Bbox.square ~side in
+  let prng = Util.Prng.create seed in
+  let sinks =
+    Array.init n (fun id ->
+        if kind = 1 then
+          let cx = float_of_int (id mod 3) *. 400.0 in
+          mk_sink id
+            (cx +. Util.Prng.range prng 0.0 4.0)
+            (Util.Prng.range prng 0.0 4.0)
+            (if Util.Prng.range prng 0.0 1.0 < 0.5 then 2.0 else 3000.0)
+            id
+        else
+          mk_sink id
+            (Util.Prng.range prng 0.0 side)
+            (Util.Prng.range prng 0.0 side)
+            (Util.Prng.range prng 5.0 50.0)
+            id)
+  in
+  let workload () =
+    Benchmarks.Workload.profile ~n_modules:n ~n_instructions:12 ~usage:0.4
+      ~stream_length:300 ~seed:(seed + 1) ()
+  in
+  let profile =
+    match kind with
+    | 5 ->
+      let rtl = Activity.Rtl.of_lists ~n_modules:n [ List.init n Fun.id ] in
+      Activity.Profile.of_stream
+        (Activity.Cpu_model.generate (Activity.Cpu_model.make rtl)
+           (Util.Prng.create seed) 50)
+    | 6 ->
+      let rtl =
+        Benchmarks.Workload.make_rtl ~n_modules:n ~n_instructions:8 ~usage:0.4
+          ~seed ()
+      in
+      Activity.Profile.of_model (Benchmarks.Workload.cpu_model rtl)
+    | _ -> workload ()
+  in
+  let config =
+    match kind with
+    | 2 -> Gcr.Config.make ~controller:(Gcr.Controller.distributed die ~k:4) ~die ()
+    | 3 -> Gcr.Config.make ~control_weight:0.0 ~die ()
+    | 4 -> Gcr.Config.make ~control_weight:3.0 ~die ()
+    | _ -> Gcr.Config.make ~die ()
+  in
+  (config, profile, sinks)
+
+(* At every step of the bounded engine's merge sequence, for every
+   active pair: the shaved additive key and the pair bound never exceed
+   the cost, and the allocation-free cost equals the reference path —
+   Grow.peek_split + Cost.merge_sc over enables merged by
+   Enable.merge — bit for bit. *)
+let prop_router_bounds_admissible =
+  QCheck.Test.make ~name:"Eq. (3) bounds admissible, cost = reference path"
+    ~count:42
+    QCheck.(triple (int_range 0 6) (int_range 2 28) (int_range 0 100_000))
+    (fun (kind, n, seed) ->
+      let n = if kind = 6 then max n 4 else n in
+      let config, profile, sinks = bound_scenario ~kind ~n ~seed in
+      let topo = Gcr.Router.route_topology_only config profile sinks in
+      let f = Gcr.Router.forest config profile sinks in
+      let tech = config.Gcr.Config.tech in
+      let grow =
+        Clocktree.Grow.create tech ~edge_gate:(Some tech.Clocktree.Tech.and_gate) sinks
+      in
+      let enables = Array.make ((2 * n) - 1) (Gcr.Enable.of_sink profile sinks.(0)) in
+      Array.iteri (fun v s -> enables.(v) <- Gcr.Enable.of_sink profile s) sinks;
+      let reference a b =
+        let hi = max a b and lo = min a b in
+        let split = Clocktree.Grow.peek_split grow hi lo in
+        Gcr.Cost.merge_sc config ~ea:split.Clocktree.Zskew.ea
+          ~eb:split.Clocktree.Zskew.eb
+          ~mid_a:(Clocktree.Grow.center_point grow hi)
+          ~mid_b:(Clocktree.Grow.center_point grow lo)
+          ~enable_a:enables.(hi) ~enable_b:enables.(lo)
+      in
+      let ok = ref true in
+      for v = n to (2 * n) - 1 do
+        let roots = Clocktree.Grow.active (Gcr.Router.grow f) in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                if a < b then begin
+                  let c = Gcr.Router.cost f a b in
+                  if
+                    Gcr.Router.lower_bound f a +. Gcr.Router.lower_bound f b > c
+                    || Gcr.Router.pair_bound f a b > c
+                    || Gcr.Router.pair_bound f b a > c
+                    || Int64.bits_of_float c <> Int64.bits_of_float (reference a b)
+                  then ok := false
+                end)
+              roots)
+          roots;
+        if v < (2 * n) - 1 then
+          match Clocktree.Topo.children topo v with
+          | Some (a, b) ->
+            ignore (Gcr.Router.merge f a b);
+            ignore (Clocktree.Grow.merge grow a b);
+            enables.(v) <- Gcr.Enable.merge profile enables.(a) enables.(b)
+          | None -> ok := false
+      done;
+      !ok)
+
+let test_router_snaking_covered () =
+  (* the snaking scenario above really exercises both snake sides *)
+  let sides = Hashtbl.create 3 in
+  for seed = 0 to 5 do
+    let config, profile, sinks = bound_scenario ~kind:1 ~n:20 ~seed in
+    let tech = config.Gcr.Config.tech in
+    let grow =
+      Clocktree.Grow.create tech ~edge_gate:(Some tech.Clocktree.Tech.and_gate) sinks
+    in
+    let topo = Gcr.Router.route_topology_only config profile sinks in
+    for v = 20 to 38 do
+      match Clocktree.Topo.children topo v with
+      | Some (a, b) ->
+        let hi = max a b and lo = min a b in
+        Hashtbl.replace sides (Clocktree.Grow.peek_split grow hi lo).Clocktree.Zskew.snaked ();
+        ignore (Clocktree.Grow.merge grow a b)
+      | None -> ()
+    done
+  done;
+  Alcotest.(check bool) "Snake_a seen" true (Hashtbl.mem sides Clocktree.Zskew.Snake_a);
+  Alcotest.(check bool) "Snake_b seen" true (Hashtbl.mem sides Clocktree.Zskew.Snake_b)
+
+(* Per-step greedy optimality of the bounded engine under Eq. (3), on
+   the same scenario kinds (ties, snaking, controllers, weights). *)
+let prop_router_greedy_optimal =
+  QCheck.Test.make ~name:"bounded Eq. (3) engine is per-step optimal" ~count:28
+    QCheck.(triple (int_range 0 6) (int_range 2 28) (int_range 0 100_000))
+    (fun (kind, n, seed) ->
+      let n = if kind = 6 then max n 4 else n in
+      let config, profile, sinks = bound_scenario ~kind ~n ~seed in
+      Conformance.Oracles.greedy_optimal ~what:"bounded" Switched_cap config
+        profile sinks
+        (Gcr.Router.route_topology_only config profile sinks);
+      true)
+
 let test_buffered_baseline () =
   let config, profile, sinks = setup ~n:24 () in
   let tree = Gcr.Buffered.route config profile sinks in
@@ -740,9 +938,9 @@ let prop_activity_router_matches_dense =
     QCheck.(pair (int_range 2 60) (int_range 0 1_000_000))
     (fun (n, seed) ->
       let config, profile, sinks = setup ~n ~seed:(seed land 0xffff) () in
-      Conformance.Oracles.greedy_optimal ~what:"NN-heap" config profile sinks
+      Conformance.Oracles.greedy_optimal ~what:"NN-heap" Activity_merge config profile sinks
         (Gcr.Activity_router.topology config profile sinks);
-      Conformance.Oracles.greedy_optimal ~what:"dense" config profile sinks
+      Conformance.Oracles.greedy_optimal ~what:"dense" Activity_merge config profile sinks
         (Gcr.Activity_router.topology_dense config profile sinks);
       true)
 
@@ -1274,6 +1472,11 @@ let () =
           Alcotest.test_case "end to end" `Quick test_router_end_to_end;
           Alcotest.test_case "deterministic" `Quick test_router_deterministic;
           Alcotest.test_case "prefers low-activity pair" `Quick test_router_prefers_low_activity_pair;
+          Alcotest.test_case "pinned W on r1-r3" `Quick test_router_pinned_w_total;
+          Alcotest.test_case "costed fraction on r3" `Quick test_router_costed_fraction;
+          Alcotest.test_case "snaking covered" `Quick test_router_snaking_covered;
+          qt prop_router_bounds_admissible;
+          qt prop_router_greedy_optimal;
           Alcotest.test_case "buffered baseline" `Quick test_buffered_baseline;
           Alcotest.test_case "ungated baseline" `Quick test_ungated_baseline;
         ] );
